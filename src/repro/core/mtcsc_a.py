@@ -17,8 +17,15 @@ from collections import deque
 
 import numpy as np
 
-from .mtcsc_c import ClusterCleaner
-from .speed import SpeedConstraint, distance
+from .online import OnlineCleaner, run_batch
+from .speed import SpeedConstraint
+
+
+def _edges(b: int, s: float) -> np.ndarray:
+    """Upper edges of the b-1 equal bins on [0, s]; the last bucket is (s, inf)."""
+    if b < 2:
+        raise ValueError("need at least 2 buckets")
+    return np.linspace(0.0, s, b)[1:]
 
 
 def bucketize(speeds: np.ndarray, b: int, s: float) -> np.ndarray:
@@ -27,12 +34,8 @@ def bucketize(speeds: np.ndarray, b: int, s: float) -> np.ndarray:
     Matches Example 4.1: s=2.2, b=6 gives bin edges 0, .44, .88, 1.32,
     1.76, 2.2, inf (5 equal bins of width s/(b-1) plus the overflow).
     """
-    if b < 2:
-        raise ValueError("need at least 2 buckets")
-    edges = np.linspace(0.0, s, b)  # b-1 interior bins
-    idx = np.clip(np.searchsorted(edges[1:], speeds, side="left"), 0, b - 1)
-    counts = np.bincount(idx, minlength=b)
-    return counts.astype(float)
+    idx = np.searchsorted(_edges(b, s), speeds, side="left")
+    return np.bincount(idx, minlength=b).astype(float)
 
 
 def kl_divergence(p_counts: np.ndarray, q_counts: np.ndarray) -> float:
@@ -52,7 +55,13 @@ def kl_divergence(p_counts: np.ndarray, q_counts: np.ndarray) -> float:
 
 
 class AdaptiveSpeed:
-    """Stateful Algorithm 5: feed consecutive speeds, get the current s."""
+    """Stateful Algorithm 5: feed consecutive speeds, get the current s.
+
+    The bucket counts of ``W1`` and ``W2`` follow the speeds as they slide
+    through the windows; both windows are bucketed again only when ``s``
+    (and with it the bin edges) changes, and the divergence is computed
+    again only when the counts change.
+    """
 
     def __init__(
         self,
@@ -68,30 +77,56 @@ class AdaptiveSpeed:
         self.w1: deque[float] = deque()
         self.w2: deque[float] = deque()
         self.n_updates = 0  # number of constraint changes (for tests/metrics)
+        self._recount()
 
     def observe(self, speed: float) -> float:
         """Push one observed speed, return the (possibly updated) constraint."""
         s1 = float(speed)
         if len(self.w1) < self.m:
             self.w1.append(s1)
+            self._c1[self._bucket(s1)] += 1
         elif len(self.w2) < self.m:
             self.w2.append(s1)
+            self._c2[self._bucket(s1)] += 1
         else:
-            c1 = bucketize(np.array(self.w1), self.b, self.s)
-            c2 = bucketize(np.array(self.w2), self.b, self.s)
-            if kl_divergence(c1, c2) > self.tau:
+            if self._kl is None:
+                self._kl = kl_divergence(self._c1, self._c2)
+            if self._kl > self.tau:
                 self.s = float(np.quantile(np.array(self.w2), 0.95)) / self.beta
                 self.n_updates += 1
+                self._recount()
             # Slide: oldest of W2 moves into W1, the new speed enters W2.
-            s2 = self.w2.popleft()
-            self.w1.append(s2)
-            self.w1.popleft()
+            gone, moved, new = map(self._bucket, (self.w1.popleft(), self.w2[0], s1))
+            self.w1.append(self.w2.popleft())
             self.w2.append(s1)
+            self._c1[gone] -= 1
+            self._c1[moved] += 1
+            self._c2[moved] -= 1
+            self._c2[new] += 1
+            if not gone == moved == new:
+                self._kl = None
         return self.s
 
+    def _bucket(self, speed: float) -> int:
+        return int(self._edges.searchsorted(speed))
 
-class AdaptiveCleaner(ClusterCleaner):
-    """MTCSC-C with Algorithm 5 spliced in before each key-point decision."""
+    def _recount(self) -> None:
+        """Bucket both windows under the current s."""
+        self._edges = _edges(self.b, self.s)
+        self._c1 = bucketize(np.array(self.w1), self.b, self.s).tolist()
+        self._c2 = bucketize(np.array(self.w2), self.b, self.s).tolist()
+        self._kl: float | None = None  # KL(W1 || W2) of the counts, once computed
+
+
+class AdaptiveCleaner(OnlineCleaner):
+    """MTCSC-C with Algorithm 5 fed before each key-point decision.
+
+    The monitored speed is the one between consecutive *observations*
+    ("AdaptiveSpeed(x_{k-1}, x_k, ...)").  Using the previous repaired
+    point instead would poison the distribution whenever a too-small
+    constraint makes repairs lag the data (carry-forward during a
+    transport-mode change), inflating s far past the new mode's real bound.
+    """
 
     def __init__(
         self,
@@ -106,42 +141,20 @@ class AdaptiveCleaner(ClusterCleaner):
         # MTCSC-A exists precisely because the constraint can be mis-set,
         # so the stale-anchor reset defaults ON (one window) — without it
         # a transport-mode change can strand the anchor before the KL
-        # monitor has updated s (see ClusterCleaner.reset_after).  Pass
+        # monitor has updated s (see OnlineCleaner.reset_after).  Pass
         # reset_after=None to disable.
         if reset_after is not None and reset_after < 0:
             reset_after = s.window
-        super().__init__(s, reset_after=reset_after)
-        self._adaptive = AdaptiveSpeed(s.smax, b=b, tau=tau, m=m, beta=beta)
-        self._last_raw_t: float | None = None
-        self._last_raw_x: np.ndarray | None = None
-
-    def _pre_step(self, tk: float, xk: np.ndarray) -> None:
-        # "AdaptiveSpeed(x_{k-1}, x_k, ...)": the monitored speed is the
-        # one between consecutive *observations*.  Using the previous
-        # repaired point instead would poison the distribution whenever a
-        # too-small constraint makes repairs lag the data (carry-forward
-        # during a transport-mode change), inflating s far past the new
-        # mode's real bound.
-        try:
-            if self._last_raw_t is not None:
-                dt = tk - self._last_raw_t
-                if dt > 0:
-                    s_new = self._adaptive.observe(
-                        distance(xk, self._last_raw_x) / dt
-                    )
-                    if s_new != self.s.smax:
-                        self.s = SpeedConstraint(s_new, self.s.window)
-        finally:
-            self._last_raw_t = tk
-            self._last_raw_x = np.asarray(xk, float)
+        speed = AdaptiveSpeed(s.smax, b=b, tau=tau, m=m, beta=beta)
+        super().__init__(s, cluster=True, reset_after=reset_after, speed=speed)
 
     @property
     def n_speed_updates(self) -> int:
-        return self._adaptive.n_updates
+        return self._speed.n_updates
 
     @property
     def current_speed(self) -> float:
-        return self._adaptive.s
+        return self._speed.s
 
 
 def mtcsc_a(
@@ -155,18 +168,6 @@ def mtcsc_a(
     beta: float = 0.75,
     reset_after: float | None = -1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch wrapper over :class:`AdaptiveCleaner`.
-
-    Returns ``(X_repaired, changed_mask)``.
-    """
-    t = np.asarray(t, float)
-    X = np.atleast_2d(np.asarray(X, float))
+    """Batch MTCSC-A.  Returns ``(X_repaired, changed_mask)``."""
     cleaner = AdaptiveCleaner(s, b=b, tau=tau, m=m, beta=beta, reset_after=reset_after)
-    for i in range(len(t)):
-        cleaner.push(t[i], X[i])
-    cleaner.flush()
-    rows = cleaner.drain()
-    Xr = np.vstack([r[1] for r in rows]) if rows else X.copy()
-    changed = np.array([r[2] for r in rows], dtype=bool)
-    changed &= np.any(Xr != X, axis=1)
-    return Xr, changed
+    return run_batch(cleaner, t, X)

@@ -8,13 +8,17 @@ also repairs *small* errors: the key point is modified unless it is
 compatible with both the previous repair and the majority representative
 (Algorithm 4 line 10), even when it satisfies the speed constraint.
 
-Complexity O(w^2 D n); constant space beyond the window.
+Complexity O(w^2 D n); constant space beyond the window.  The algorithm
+runs on the shared :class:`~repro.core.online.OnlineCleaner`.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .speed import EPS, SpeedConstraint, satisfy, within_speed
+from .online import OnlineCleaner, build_clusters, largest_cluster_head, run_batch
+from .speed import SpeedConstraint, compatible, distances
+
+__all__ = ["ClusterCleaner", "build_cluster", "largest_cluster_head", "mtcsc_c"]
 
 
 def build_cluster(
@@ -29,183 +33,29 @@ def build_cluster(
     ``(tp, xp)`` is the last repaired point; ``tw``/``Xw`` hold the window
     points *after* the key point, in time order.  Returns clusters as
     lists of indices into ``tw`` (order of creation).
-
-    Flags per point: 0 = omitted/dirty, -1 = head of its own cluster,
-    j > 0-style = index of the cluster head it joined.
     """
-    m = len(tw)
-    clusters: dict[int, list[int]] = {}
-    f = np.zeros(m, dtype=np.int64)  # 0 dirty, -1 head, >=1 => head index+1
-    # Find the first point compatible with the previous repaired point.
-    ell = -1
-    for i in range(m):
-        if within_speed(tp, xp, tw[i], Xw[i], s):
-            ell = i
-            f[i] = -1
-            clusters[i] = [i]
-            break
-    if ell < 0:
-        return []
-    for i in range(ell + 1, m):
-        for j in range(i - 1, ell - 1, -1):
-            if within_speed(tw[j], Xw[j], tw[i], Xw[i], s):
-                if f[j] == -1:
-                    f[i] = j + 1
-                    clusters[j].append(i)
-                elif f[j] >= 1:
-                    f[i] = f[j]
-                    clusters[f[i] - 1].append(i)
-                # f[j] == 0 (omitted): i is compatible with a dirty point
-                # and is itself omitted (stays 0).
-                break
-            if j == ell or f[j] >= 1:
-                # Action 2: start a new cluster iff compatible with the
-                # previous repaired point; otherwise omit (Action 4).
-                if within_speed(tp, xp, tw[i], Xw[i], s):
-                    f[i] = -1
-                    clusters[i] = [i]
-                break
-            # Action 3 (f[j] in {-1 with unsatisfied, 0}): keep scanning
-            # towards older points.
-    return [clusters[k] for k in sorted(clusters)]
+    tw = np.asarray(tw, float)
+    Xw = np.ascontiguousarray(Xw, float)
+    near = compatible(distances(Xw, np.asarray(xp, float)), np.abs(tw - tp), s.smax)
+    # Row i holds point i against points i, i - 1, ..., 0 (by lag).
+    compat = [
+        compatible(distances(Xw[i::-1], Xw[i]), np.abs(tw[i] - tw[i::-1]), s.smax).tolist()
+        for i in range(len(tw))
+    ]
+    return build_clusters(near.tolist(), compat)
 
 
-def largest_cluster_head(clusters: list[list[int]]) -> int | None:
-    """Index (into the window) of the first point of the largest cluster.
-
-    Ties break towards the earliest-created (oldest-head) cluster, which
-    matches a stable argmax over creation order.
-    """
-    if not clusters:
-        return None
-    best = max(clusters, key=len)
-    return best[0]
-
-
-class ClusterCleaner:
-    """Incremental MTCSC-C (Algorithm 4) over a buffered stream.
-
-    Same emission contract as :class:`repro.core.mtcsc_l.LocalCleaner`:
-    a key point is decided once its lookahead window has fully arrived.
-    The first point of the stream is trusted (Algorithm 4 starts at k=2).
-    """
+class ClusterCleaner(OnlineCleaner):
+    """Incremental MTCSC-C (Algorithm 4): the online cleaner with the
+    largest-cluster anchor.  See :class:`~repro.core.online.OnlineCleaner`
+    for ``reset_after``."""
 
     def __init__(self, s: SpeedConstraint, *, reset_after: float | None = None):
-        """``reset_after`` (time units, default off): if no window point has
-        been compatible with the carried anchor for that long, trust the
-        current observation again instead of carrying the stale repair
-        forward.  The paper's algorithms never re-anchor — sound under a
-        correct constraint, but a badly mis-set constraint (the MTCSC-A
-        adaptation scenario) then diverges permanently once the true
-        trajectory outruns ``s * w``.  Enabling the reset trades the strict
-        soundness guarantee for bounded staleness; MTCSC-A turns it on.
-        """
-        self.s = s
-        self.reset_after = reset_after
-        self._tbuf: list[float] = []
-        self._xbuf: list[np.ndarray] = []
-        self._prev_t: float | None = None
-        self._prev_x: np.ndarray | None = None
-        self._last_accept_t: float | None = None
-        self._out: list[tuple[float, np.ndarray, bool]] = []
-
-    # Subclasses (MTCSC-A) can mutate self.s here before the key point
-    # of each step is decided.
-    def _pre_step(self, tk: float, xk: np.ndarray) -> None:
-        return None
-
-    def _emit_first_buffered(self) -> None:
-        s = self.s
-        tk = self._tbuf[0]
-        xk = self._xbuf[0]
-        carried = False  # True only for carry-forward (stale-anchor) emits
-        if self._prev_x is None:
-            xr, changed = xk, False
-        else:
-            self._pre_step(tk, xk)
-            s = self.s
-            # Window points after the key point, within t <= tk + w.
-            tw, Xw = [], []
-            for i in range(1, len(self._tbuf)):
-                if self._tbuf[i] > tk + s.window:
-                    break
-                tw.append(self._tbuf[i])
-                Xw.append(self._xbuf[i])
-            tw = np.asarray(tw, float)
-            Xw = np.asarray(Xw, float) if len(Xw) else np.zeros((0, len(xk)))
-            clusters = build_cluster(self._prev_t, self._prev_x, tw, Xw, s)
-            head = largest_cluster_head(clusters)
-            if head is None:
-                # No compatible trend in the window: behave like MTCSC-L's
-                # fallback — keep the point if compatible, else carry the
-                # previous repair forward (or re-anchor if the carried
-                # repair has been stale longer than ``reset_after``).
-                if satisfy(self._prev_t, self._prev_x, tk, xk, s):
-                    xr, changed = xk, False
-                elif (
-                    self.reset_after is not None
-                    and self._last_accept_t is not None
-                    and tk - self._last_accept_t > self.reset_after
-                ):
-                    xr, changed = xk, False
-                else:
-                    xr, changed = self._prev_x.copy(), True
-                    carried = True
-            else:
-                ti, xi = float(tw[head]), Xw[head]
-                ok = satisfy(self._prev_t, self._prev_x, tk, xk, s) and within_speed(
-                    tk, xk, ti, xi, s
-                )
-                if ok:
-                    xr, changed = xk, False
-                else:
-                    alpha = (tk - self._prev_t) / (ti - self._prev_t)
-                    xr = self._prev_x + alpha * (xi - self._prev_x)
-                    changed = True
-        self._out.append((tk, np.asarray(xr, float), changed))
-        self._prev_t, self._prev_x = tk, np.asarray(xr, float)
-        if not carried:
-            # Kept observations and cluster-anchored repairs are both
-            # evidence-backed; only carry-forward emits leave the anchor
-            # stale.
-            self._last_accept_t = tk
-        self._tbuf.pop(0)
-        self._xbuf.pop(0)
-
-    def push(self, t: float, x: np.ndarray) -> None:
-        if self._tbuf and t <= self._tbuf[-1]:
-            raise ValueError("timestamps must be strictly increasing")
-        self._tbuf.append(float(t))
-        self._xbuf.append(np.asarray(x, float))
-        while self._tbuf and t > self._tbuf[0] + self.s.window + EPS:
-            self._emit_first_buffered()
-
-    def flush(self) -> None:
-        while self._tbuf:
-            self._emit_first_buffered()
-
-    def drain(self) -> list[tuple[float, np.ndarray, bool]]:
-        out, self._out = self._out, []
-        return out
+        super().__init__(s, cluster=True, reset_after=reset_after)
 
 
 def mtcsc_c(
     t: np.ndarray, X: np.ndarray, s: SpeedConstraint
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch wrapper over :class:`ClusterCleaner`.
-
-    Returns ``(X_repaired, changed_mask)``.
-    """
-    t = np.asarray(t, float)
-    X = np.atleast_2d(np.asarray(X, float))
-    if X.shape[0] != len(t):
-        raise ValueError(f"t has {len(t)} rows but X has {X.shape[0]}")
-    cleaner = ClusterCleaner(s)
-    for i in range(len(t)):
-        cleaner.push(t[i], X[i])
-    cleaner.flush()
-    rows = cleaner.drain()
-    Xr = np.vstack([r[1] for r in rows]) if rows else X.copy()
-    changed = np.array([r[2] for r in rows], dtype=bool)
-    changed &= np.any(Xr != X, axis=1)
-    return Xr, changed
+    """Batch MTCSC-C.  Returns ``(X_repaired, changed_mask)``."""
+    return run_batch(ClusterCleaner(s), t, X)

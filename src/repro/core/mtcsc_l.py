@@ -8,94 +8,26 @@ previous repair and places ``x'_k`` on the line between them
 (formula 6, Prop. 3.2 guarantees soundness).  If no such point exists,
 ``x'_k`` falls back to the previous repaired value.
 
-Complexity O(wDn); constant space beyond the window.
+Complexity O(wDn); constant space beyond the window.  The algorithm runs
+on the shared :class:`~repro.core.online.OnlineCleaner`.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .speed import EPS, SpeedConstraint, satisfy, within_speed
+from .online import OnlineCleaner, run_batch
+from .speed import SpeedConstraint
 
 
-class LocalCleaner:
-    """Incremental MTCSC-L over a buffered stream.
-
-    Feed points with :meth:`push`; repaired points are emitted once their
-    lookahead window has fully arrived (or at :meth:`flush`).  The batch
-    function :func:`mtcsc_l` wraps this class, and the Structured
-    Streaming job reuses it so batch and streaming results agree.
-    """
+class LocalCleaner(OnlineCleaner):
+    """Incremental MTCSC-L: the online cleaner with the first-compatible anchor."""
 
     def __init__(self, s: SpeedConstraint):
-        self.s = s
-        self._tbuf: list[float] = []
-        self._xbuf: list[np.ndarray] = []
-        self._prev_t: float | None = None  # timestamp of last emitted repair
-        self._prev_x: np.ndarray | None = None  # value of last emitted repair
-        self._out: list[tuple[float, np.ndarray, bool]] = []
-
-    def _emit_first_buffered(self) -> None:
-        """Decide the repair of the oldest buffered point (the key point)."""
-        s = self.s
-        tk = self._tbuf[0]
-        xk = self._xbuf[0]
-        if self._prev_x is None or satisfy(self._prev_t, self._prev_x, tk, xk, s):
-            xr, changed = xk, False
-        else:
-            xr, changed = None, True
-            for i in range(1, len(self._tbuf)):
-                ti, xi = self._tbuf[i], self._xbuf[i]
-                if ti > tk + s.window:
-                    break
-                if within_speed(self._prev_t, self._prev_x, ti, xi, s):
-                    alpha = (tk - self._prev_t) / (ti - self._prev_t)
-                    xr = self._prev_x + alpha * (xi - self._prev_x)
-                    break
-            if xr is None:
-                xr = self._prev_x.copy()
-        self._out.append((tk, np.asarray(xr, float), changed))
-        self._prev_t, self._prev_x = tk, np.asarray(xr, float)
-        self._tbuf.pop(0)
-        self._xbuf.pop(0)
-
-    def push(self, t: float, x: np.ndarray) -> None:
-        if self._tbuf and t <= self._tbuf[-1]:
-            raise ValueError("timestamps must be strictly increasing")
-        self._tbuf.append(float(t))
-        self._xbuf.append(np.asarray(x, float))
-        # Emit every buffered key point whose lookahead window is complete.
-        while self._tbuf and t > self._tbuf[0] + self.s.window + EPS:
-            self._emit_first_buffered()
-
-    def flush(self) -> None:
-        """End of stream: decide all remaining buffered points."""
-        while self._tbuf:
-            self._emit_first_buffered()
-
-    def drain(self) -> list[tuple[float, np.ndarray, bool]]:
-        """Return and clear the repairs emitted so far."""
-        out, self._out = self._out, []
-        return out
+        super().__init__(s, cluster=False)
 
 
 def mtcsc_l(
     t: np.ndarray, X: np.ndarray, s: SpeedConstraint
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch wrapper over :class:`LocalCleaner`.
-
-    Returns ``(X_repaired, changed_mask)``.
-    """
-    t = np.asarray(t, float)
-    X = np.atleast_2d(np.asarray(X, float))
-    if X.shape[0] != len(t):
-        raise ValueError(f"t has {len(t)} rows but X has {X.shape[0]}")
-    cleaner = LocalCleaner(s)
-    for i in range(len(t)):
-        cleaner.push(t[i], X[i])
-    cleaner.flush()
-    rows = cleaner.drain()
-    Xr = np.vstack([r[1] for r in rows]) if rows else X.copy()
-    changed = np.array([r[2] for r in rows], dtype=bool)
-    # A "repair" identical to the observation is not counted as changed.
-    changed &= np.any(Xr != X, axis=1)
-    return Xr, changed
+    """Batch MTCSC-L.  Returns ``(X_repaired, changed_mask)``."""
+    return run_batch(LocalCleaner(s), t, X)

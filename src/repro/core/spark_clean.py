@@ -88,8 +88,11 @@ def to_spark_long(
     return spark.createDataFrame(pdf)
 
 
-def _kernel(clean_fn: CleanFn):
-    """Wrap a numpy cleaner as an applyInPandas kernel over one group."""
+def _kernel(clean_fn: CleanFn, passthrough: tuple[str, ...] = ()):
+    """Wrap a numpy cleaner as an applyInPandas kernel over one group.
+
+    The ``passthrough`` input columns are copied to the output unchanged.
+    """
 
     def run(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values("t").reset_index(drop=True)
@@ -103,6 +106,7 @@ def _kernel(clean_fn: CleanFn):
                 "v": pdf["v"],
                 "repaired": list(map(list, Xr)),
                 "changed": changed.astype(bool),
+                **{c: pdf[c] for c in passthrough},
             }
         )
 
@@ -159,25 +163,9 @@ def clean_chunked(
 
     schema = StructType(CLEAN_SCHEMA.fields + [StructField("is_warmup", BooleanType())])
 
-    def run(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("t").reset_index(drop=True)
-        t = pdf["t"].to_numpy(float)
-        X = np.array(pdf["v"].tolist(), dtype=float)
-        Xr, changed = clean_fn(t, X)
-        return pd.DataFrame(
-            {
-                "series_id": pdf["series_id"],
-                "t": t,
-                "v": pdf["v"],
-                "repaired": list(map(list, Xr)),
-                "changed": changed.astype(bool),
-                "is_warmup": pdf["is_warmup"],
-            }
-        )
-
     out = (
         both.groupBy("series_id", "chunk")
-        .applyInPandas(run, schema=schema)
+        .applyInPandas(_kernel(clean_fn, ("is_warmup",)), schema=schema)
         .where(~F.col("is_warmup"))
         .drop("is_warmup")
     )

@@ -45,6 +45,22 @@ def distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.sum((np.asarray(a, float) - np.asarray(b, float)) ** 2)))
 
 
+def distances(X: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """:func:`distance` between the points (last axis) of ``X`` and ``x``,
+    broadcast, bit for bit.
+
+    Each point is summed along its own contiguous axis, in ``distance``'s
+    order; ``np.add.reduce`` is ``np.sum`` without its wrapper's cost.
+    """
+    return np.sqrt(np.add.reduce((X - x) ** 2, axis=-1))
+
+
+def max_distance(dt, smax: float):
+    """Largest distance compatible with ``smax`` over a time gap ``dt > 0``,
+    with the ``EPS`` tolerance; on numbers or elementwise on arrays."""
+    return smax * dt * (1.0 + EPS) + EPS
+
+
 def satisfy(
     ti: float, xi: np.ndarray, tj: float, xj: np.ndarray, s: SpeedConstraint
 ) -> bool:
@@ -62,41 +78,36 @@ def satisfy(
     return distance(xi, xj) <= s.smax * dt * (1.0 + EPS) + EPS
 
 
-def within_speed(
-    ti: float, xi: np.ndarray, tj: float, xj: np.ndarray, s: SpeedConstraint
-) -> bool:
-    """Bounded speed check ``d <= smax * dt`` with *no* window exemption.
+def compatible(d, dt, smax: float, window: float = np.inf):
+    """Vectorized :func:`satisfy` on distances ``d`` over time gaps ``dt >= 0``.
 
-    Used when selecting interpolation anchors: Prop. 3.2's soundness
-    argument needs the anchor to genuinely lie within the speed cone of
-    the previous repaired point, so a pair that is merely "outside the
-    window" (and thus unconstrained for violation detection) must not be
-    accepted here.
+    The formula is ``satisfy``'s: a zero gap is compatible only at
+    distance 0, a gap above ``window`` is unconstrained, otherwise
+    ``d <= max_distance(dt, smax)``.  With the default infinite window this
+    is the anchor check of the online cleaners: Prop. 3.2's soundness
+    argument needs the anchor to lie within the speed cone of the previous
+    repaired point, so a pair that is merely outside the window must not be
+    accepted there.
     """
-    dt = abs(float(tj) - float(ti))
-    if dt == 0:
-        return distance(xi, xj) == 0.0
-    return distance(xi, xj) <= s.smax * dt * (1.0 + EPS) + EPS
+    return ((d <= max_distance(dt, smax)) | (dt > window)) & ((dt != 0) | (d == 0.0))
 
 
-def satisfy_many(
-    tk: float, xk: np.ndarray, ts: np.ndarray, Xs: np.ndarray, s: SpeedConstraint
-) -> np.ndarray:
-    """Vectorized ``satisfy`` of one point against many points.
-
-    Returns a boolean array, one entry per row of ``Xs``.
-    """
-    ts = np.asarray(ts, float)
-    dt = np.abs(ts - float(tk))
-    d = np.sqrt(np.sum((np.asarray(Xs, float) - np.asarray(xk, float)) ** 2, axis=1))
-    out = np.empty(len(ts), dtype=bool)
-    zero = dt == 0
-    out[zero] = d[zero] == 0.0
-    far = dt > s.window
-    out[far] = True
-    near = ~zero & ~far
-    out[near] = d[near] <= s.smax * dt[near] * (1.0 + EPS) + EPS
-    return out
+def _window_pairs(t: np.ndarray, X: np.ndarray, s: SpeedConstraint):
+    """Yield ``(i, j, ok)`` per offset ``k``: the in-window pairs ``(i, i + k)``
+    and whether each satisfies ``s``, one numpy pass per offset."""
+    t = np.asarray(t, float)
+    n = len(t)
+    if n < 2:
+        return
+    X = np.ascontiguousarray(X, float).reshape(n, -1)
+    # Pairs (i, j) with i < j < hi[i] are within the window of i.
+    hi = np.searchsorted(t, t + s.window, side="right")
+    span = hi - np.arange(n) - 1
+    for k in range(1, int(span.max(initial=0)) + 1):
+        i = np.flatnonzero(span >= k)
+        j = i + k
+        d = distances(X[j], X[i])
+        yield i, j, compatible(d, np.abs(t[j] - t[i]), s.smax, s.window)
 
 
 def series_satisfies(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> bool:
@@ -107,29 +118,17 @@ def series_satisfies(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> bool:
     all consecutive pairs hold), so this checks all pairs within ``w``.
     Used by tests to assert soundness of repairs.
     """
-    t = np.asarray(t, float)
-    X = np.asarray(X, float)
-    n = len(t)
-    for i in range(n):
-        # Only pairs within the window need checking.
-        hi = np.searchsorted(t, t[i] + s.window, side="right")
-        for j in range(i + 1, hi):
-            if not satisfy(t[i], X[i], t[j], X[j], s):
-                return False
-    return True
+    return all(ok.all() for _, _, ok in _window_pairs(t, X, s))
 
 
 def violations(t: np.ndarray, X: np.ndarray, s: SpeedConstraint) -> list[tuple[int, int]]:
     """All in-window pairs ``(i, j)`` violating the constraint (for tests)."""
-    t = np.asarray(t, float)
-    X = np.asarray(X, float)
-    out: list[tuple[int, int]] = []
-    for i in range(len(t)):
-        hi = np.searchsorted(t, t[i] + s.window, side="right")
-        for j in range(i + 1, hi):
-            if not satisfy(t[i], X[i], t[j], X[j], s):
-                out.append((i, j))
-    return out
+    pairs = [(i[~ok], j[~ok]) for i, j, ok in _window_pairs(t, X, s)]
+    if not pairs:
+        return []
+    i, j = (np.concatenate(p) for p in zip(*pairs))
+    order = np.lexsort((j, i))
+    return list(zip(i[order].tolist(), j[order].tolist()))
 
 
 def interpolate(

@@ -1,10 +1,10 @@
 """Structured Streaming online cleaning (the paper's streaming setting).
 
 Micro-batches arrive from a file source; ``foreachBatch`` feeds each
-batch, in timestamp order per series, into a persistent incremental
-cleaner (:class:`~repro.core.mtcsc_l.LocalCleaner` or
-:class:`~repro.core.mtcsc_c.ClusterCleaner`).  The cleaners emit a
-repair as soon as a key point's lookahead window has fully arrived —
+batch, in timestamp order per series, into a persistent
+:class:`~repro.core.online.OnlineCleaner` with the MTCSC-L or MTCSC-C
+anchor policy — the same core the batch functions run.  The cleaner emits
+a repair as soon as a key point's lookahead window has fully arrived —
 exactly the paper's online contract — so the drained stream output
 equals the batch result (asserted in tests).
 
@@ -33,8 +33,7 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from .mtcsc_c import ClusterCleaner
-from .mtcsc_l import LocalCleaner
+from .online import OnlineCleaner
 from .speed import SpeedConstraint
 
 INPUT_SCHEMA = StructType(
@@ -53,17 +52,16 @@ class StreamingCleaner:
         if variant not in ("local", "cluster"):
             raise ValueError(f"unknown variant {variant!r}")
         self.s = s
-        self._cls = LocalCleaner if variant == "local" else ClusterCleaner
-        self._state: dict[str, LocalCleaner | ClusterCleaner] = {}
+        self._cluster = variant == "cluster"
+        self._state: dict[str, OnlineCleaner] = {}
         self.results: list[tuple[str, float, list[float]]] = []
 
     def process_batch(self, pdf: pd.DataFrame) -> None:
         """Feed one micro-batch (any subset of rows, per-series ordered)."""
         for sid, grp in pdf.groupby("series_id"):
-            cleaner = self._state.setdefault(sid, self._cls(self.s))
+            cleaner = self._state.setdefault(sid, OnlineCleaner(self.s, cluster=self._cluster))
             grp = grp.sort_values("t")
-            for t, v in zip(grp["t"], grp["v"]):
-                cleaner.push(float(t), np.asarray(v, float))
+            cleaner.extend(grp["t"].to_numpy(float), np.array(grp["v"].tolist(), dtype=float))
             for t, xr, _ in cleaner.drain():
                 self.results.append((sid, t, list(map(float, xr))))
 

@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.speed import (
     SpeedConstraint,
+    compatible,
     distance,
     estimate_speed,
     interpolate,
     satisfy,
-    satisfy_many,
     series_satisfies,
     violations,
 )
@@ -85,17 +85,19 @@ class TestSatisfy:
         a, b = np.array([0.0, 0.0]), np.array([1.0, 1.0])
         assert satisfy(0, a, 3, b, self.S) == satisfy(3, b, 0, a, self.S)
 
-    def test_satisfy_many_matches_scalar(self):
+    def test_compatible_matches_scalar(self):
         g = np.random.default_rng(1)
         xk = g.random(3)
-        ts = np.arange(1.0, 9.0)
-        Xs = g.random((8, 3)) * 4
-        got = satisfy_many(0.0, xk, ts, Xs, self.S)
+        ts = np.arange(0.0, 9.0)  # includes a zero gap and gaps beyond w
+        Xs = g.random((9, 3)) * 4
+        Xs[0] = xk
+        d = np.array([distance(xk, x) for x in Xs])
+        got = compatible(d, ts, self.S.smax, self.S.window)
         want = [satisfy(0.0, xk, t, x, self.S) for t, x in zip(ts, Xs)]
-        assert list(got) == want
+        assert got.tolist() == want
 
-    def test_satisfy_many_empty(self):
-        out = satisfy_many(0.0, np.zeros(2), np.zeros(0), np.zeros((0, 2)), self.S)
+    def test_compatible_empty(self):
+        out = compatible(np.zeros(0), np.zeros(0), self.S.smax, self.S.window)
         assert out.shape == (0,)
 
 
@@ -127,6 +129,24 @@ class TestSeriesSatisfies:
         X = np.array([[0.0], [5.0], [10.0]])
         v = violations(t, X, SpeedConstraint(1.0, 5.0))
         assert (0, 1) in v and (1, 2) in v and (0, 2) in v
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_scalar_pair_scan(self, seed):
+        # The vectorized checker against one scalar satisfy call per
+        # in-window pair, on irregular gaps around the window edge.
+        g = np.random.default_rng(seed)
+        t = np.cumsum(g.choice([0.5, 1.0, 2.5, 5.0], 80))
+        X = np.cumsum(g.normal(0, 1, (80, 3)), axis=0)
+        s = SpeedConstraint(1.5, 5.0)
+        want = [
+            (i, j)
+            for i in range(len(t))
+            for j in range(i + 1, np.searchsorted(t, t[i] + s.window, side="right"))
+            if not satisfy(t[i], X[i], t[j], X[j], s)
+        ]
+        assert want and violations(t, X, s) == want
+        assert not series_satisfies(t, X, s)
+        assert series_satisfies(t[:1], X[:1], s) and violations(t[:0], X[:0], s) == []
 
 
 class TestInterpolate:
